@@ -50,10 +50,10 @@ func goldenSampling() offloadsim.Sampling {
 
 // goldenCases builds the matrix: workload x {baseline, static-N,
 // dynamic-N} x {detailed, sampled, parallel}, plus a parallel+sampled
-// composition cell per workload on the static-N variant. Dynamic-N has
-// no sampled or parallel cell — both combinations are rejected by
-// config validation (the epoch tuner's feedback is undefined under
-// functional warming and quantum isolation alike). The parallel cells
+// composition cell and a serial 4-core cell per workload on the static-N
+// variant. Dynamic-N has no sampled or parallel cell — both combinations
+// are rejected by config validation (the epoch tuner's feedback is
+// undefined under functional warming and quantum isolation alike). The parallel cells
 // run multi-core (the engine's reason to exist) and pin the
 // quantum-reconciliation results byte-for-byte: any change to event
 // ordering, estimate pricing or the barrier fix-up shows up here.
@@ -119,6 +119,15 @@ func goldenCases() []goldenCase {
 					name:    fmt.Sprintf("%s_%s_parallel_sampled", wl, v.name),
 					sampled: true,
 					cfg:     pscfg,
+				})
+				// Serial multi-core cell: four user cores contend for the
+				// one OS core, so it pins the serial engine's reservation
+				// queueing (non-zero queue delay) byte-for-byte.
+				mcfg := cfg
+				mcfg.UserCores = 4
+				cases = append(cases, goldenCase{
+					name: fmt.Sprintf("%s_%s_4core_detailed", wl, v.name),
+					cfg:  mcfg,
 				})
 				// Multi-OS-core cluster cells (docs/OSCORES.md). The K=2
 				// synchronous cell pins affinity routing, per-core queueing
