@@ -21,9 +21,9 @@ type oscoresFlags struct {
 }
 
 // block validates the flags and returns the Config block they describe.
-// All-default flags return the disabled zero block: the run takes the
-// classic single-OS-core path, byte-identical to builds that predate the
-// cluster model.
+// All-default flags return the disabled zero block: the run is the
+// classic single-OS-core model (the K=1 cluster), byte-identical to
+// builds that predate the cluster model.
 func (f oscoresFlags) block() (offloadsim.OSCores, error) {
 	if f.K < 1 {
 		return offloadsim.OSCores{}, fmt.Errorf("-os-cores must be >= 1 (got %d)", f.K)

@@ -7,25 +7,27 @@ import (
 	"offloadsim/internal/trace"
 )
 
-// This file is the engine side of the multi-OS-core model
-// (Config.OSCores, internal/oscore, docs/OSCORES.md). clusterOffload
-// replaces the legacy single-queue off-load block of step() when the
-// cluster is built; the legacy path is untouched, so disabled configs
-// run byte-identically.
+// This file is the engine side of the OS cores (internal/oscore,
+// docs/OSCORES.md). Every off-load-capable simulator runs a cluster:
+// the paper's single OS core is the K=1 instance (one queue, speed 1,
+// every class routed to queue 0, no async slots), and Config.OSCores
+// generalizes it to K cores with affinity routing, big/little speeds
+// and asynchronous dispatch. offloadOS is the one place an off-load is
+// priced on the OS side, for the serial engine (clusterOffload) and the
+// parallel engine's barrier (resolveOffloads) alike.
 //
-// Pricing. A synchronous off-load costs the issuing core the same round
-// trip as the legacy model — oneWay + wait + exec + oneWay — with exec
-// scaled by the serving core's speed factor. An asynchronous
-// (fire-and-forget) off-load costs the issuing core only the outbound
-// oneWay: the OS-side work overlaps user execution, following
-// Colagrande & Benini's observation that offload latency hides when the
-// requester keeps running. The overlap is not free — the return
-// descriptor must still be reconciled at the core's next OS boundary
-// (or earlier, if the per-core return slots fill), and any cycles the
-// core stalls waiting for an unlanded return are charged there.
+// Pricing. A synchronous off-load costs the issuing core the paper's
+// round trip — oneWay + wait + exec + oneWay — with exec scaled by the
+// serving core's speed factor. An asynchronous (fire-and-forget)
+// off-load costs the issuing core only the outbound oneWay: the OS-side
+// work overlaps user execution, following Colagrande & Benini's
+// observation that offload latency hides when the requester keeps
+// running. The overlap is not free — the return descriptor must still
+// be reconciled at the core's next OS boundary (or earlier, if the
+// per-core return slots fill), and any cycles the core stalls waiting
+// for an unlanded return are charged there.
 
-// clusterOffload executes one off-loaded invocation against the OS-core
-// cluster.
+// clusterOffload executes one off-loaded invocation of the serial engine.
 func (s *Simulator) clusterOffload(u *userCtx, seg *trace.Segment) {
 	async := s.cfg.OSCores.Async && syscalls.SideEffectOnly(seg.Sys)
 	if async {
@@ -40,26 +42,9 @@ func (s *Simulator) clusterOffload(u *userCtx, seg *trace.Segment) {
 	}
 
 	oneWay := uint64(s.cfg.Migration.OneWay)
-	dispatch := u.clock
-	arrival := dispatch + oneWay
-	cat := syscalls.CategoryOf(seg.Sys)
-	q, _ := s.osc.Route(cat, arrival)
-
-	// Telemetry samples are read-only and taken around — never inside —
-	// the model's own calls (same discipline as the legacy path).
-	var backlog int
-	var missBase uint64
-	if u.trc != nil {
-		backlog = s.osc.Backlog(q, arrival)
-		missBase = s.clusterMisses(q)
-	}
-	execCycles := s.osCores[q].RunSegment(seg)
-	scaled := oscore.Scale(execCycles, s.osc.Speed(q))
-	start, wait := s.osc.Reserve(q, cat, arrival, scaled)
-
+	q, start, wait, scaled := s.offloadOS(u.idx, seg, u.clock+oneWay, async)
 	if async {
-		complete := start + scaled + oneWay
-		s.osc.PushAsync(u.idx, complete, q)
+		s.osc.PushAsync(u.idx, start+scaled+oneWay, q)
 		u.core.Idle(oneWay)
 		u.clock += oneWay
 	} else {
@@ -67,10 +52,33 @@ func (s *Simulator) clusterOffload(u *userCtx, seg *trace.Segment) {
 		u.core.Idle(total)
 		u.clock += total
 	}
-	if u.trc != nil {
-		s.emitClusterOffload(u.idx, seg, dispatch, arrival, start, wait,
-			scaled, q, backlog, s.clusterMisses(q)-missBase, async)
+}
+
+// offloadOS prices one off-load on the OS side: it routes the request
+// arriving at arrival, runs it on the serving core, books that core's
+// reservation queue and emits the trace events on issuing core node's
+// ring. It returns the serving core, the execution start, the queue
+// wait and the speed-scaled execution cycles; the caller charges the
+// issuing core. Telemetry samples are read-only and taken around — never
+// inside — the model's own calls, so the simulated outcome is identical
+// with tracing on or off.
+func (s *Simulator) offloadOS(node int, seg *trace.Segment, arrival uint64, async bool) (q int, start, wait, scaled uint64) {
+	cat := syscalls.CategoryOf(seg.Sys)
+	q, _ = s.osc.Route(cat, arrival)
+	var backlog int
+	var missBase uint64
+	if s.trc != nil {
+		backlog = s.osc.Backlog(q, arrival)
+		missBase = s.osMissCount(q)
 	}
+	execCycles := s.osCores[q].RunSegment(seg)
+	scaled = oscore.Scale(execCycles, s.osc.Speed(q))
+	start, wait = s.osc.Reserve(q, cat, arrival, scaled)
+	if s.trc != nil {
+		s.emitClusterOffload(node, seg, arrival, start, wait, scaled, q,
+			backlog, s.osMissCount(q)-missBase, async)
+	}
+	return q, start, wait, scaled
 }
 
 // awaitAsyncSlot frees a return slot on user core u, reconciling the
@@ -115,25 +123,31 @@ func (s *Simulator) reconcileAsync(u *userCtx, complete uint64, q int) {
 	}
 }
 
-// emitClusterOffload records one cluster off-load: dispatch, routed
-// enqueue (wait and observed backlog), execution on the serving core
-// with its cache warm-up cost, and — synchronous only — the return to
-// the issuing core. Async returns are emitted by reconcileAsync when
-// they actually land.
+// emitClusterOffload records one off-load: dispatch, enqueue (wait and
+// observed backlog), execution on the serving core with its cache
+// warm-up cost, and — synchronous only — the return to the issuing core.
+// Async returns are emitted by reconcileAsync when they actually land.
+// The enqueue/execute pair keeps its wire names: offload_queue/
+// offload_execute for the paper's single OS core, oscore_enqueue/
+// oscore_execute (execute naming the serving core) for an enabled
+// Config.OSCores block.
 func (s *Simulator) emitClusterOffload(node int, seg *trace.Segment,
-	dispatch, arrival, start, wait, scaled uint64, q, backlog int, missDelta uint64, async bool) {
+	arrival, start, wait, scaled uint64, q, backlog int, missDelta uint64, async bool) {
 	oneWay := uint64(s.cfg.Migration.OneWay)
+	dispatch := arrival - oneWay
 	sys := int32(seg.Sys)
+	queueKind, execKind, execCore := telemetry.KindOffloadQueue, telemetry.KindOffloadExecute, int64(0)
+	if s.cfg.OSCores.Enabled {
+		queueKind, execKind, execCore = telemetry.KindOSCoreEnqueue, telemetry.KindOSCoreExecute, int64(q)
+	}
 	s.trc.Emit(node, telemetry.Event{
 		Time: dispatch, Kind: telemetry.KindOffloadDispatch, Sys: sys, Cycles: oneWay,
 	})
 	s.trc.Emit(node, telemetry.Event{
-		Time: arrival, Kind: telemetry.KindOSCoreEnqueue, Sys: sys,
-		Cycles: wait, Value: int64(backlog),
+		Time: arrival, Kind: queueKind, Sys: sys, Cycles: wait, Value: int64(backlog),
 	})
 	s.trc.Emit(node, telemetry.Event{
-		Time: start, Kind: telemetry.KindOSCoreExecute, Sys: sys,
-		Cycles: scaled, Value: int64(q),
+		Time: start, Kind: execKind, Sys: sys, Cycles: scaled, Value: execCore,
 	})
 	s.trc.Emit(node, telemetry.Event{
 		Time: start, Kind: telemetry.KindCacheWarm, Sys: sys, Value: int64(missDelta),
@@ -146,21 +160,18 @@ func (s *Simulator) emitClusterOffload(node int, seg *trace.Segment,
 	}
 }
 
-// clusterMisses is OS core q's cumulative private-cache miss count (L1
-// I+D plus its L2) — the cluster counterpart of osMisses.
-func (s *Simulator) clusterMisses(q int) uint64 {
+// osMissCount is OS core q's cumulative private-cache miss count (L1
+// I+D plus its L2): the counter emitClusterOffload differences into
+// cache-warm-up events.
+func (s *Simulator) osMissCount(q int) uint64 {
 	return s.osCores[q].MissCount() + s.sys.L2(s.osNode+q).Stats.Misses.Value()
 }
 
-// osSlotsTotal is the hardware-context capacity of the OS side: the
-// single queue's contexts in legacy mode, contexts x K in cluster mode,
-// 0 without an OS core.
+// osSlotsTotal is the hardware-context capacity of the OS side:
+// contexts x K, 0 without an OS core.
 func (s *Simulator) osSlotsTotal() int {
-	switch {
-	case s.osQueue != nil:
-		return s.osQueue.Slots()
-	case s.osc != nil:
-		return s.osc.Contexts() * s.osc.K()
+	if s.osc == nil {
+		return 0
 	}
-	return 0
+	return s.osc.Contexts() * s.osc.K()
 }

@@ -106,16 +106,17 @@ func TestOSCoresValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Parallel+OSCores accepted")
 	}
-	// ...but a block that collapses to the legacy model composes fine.
+	// ...but a block that collapses to the K=1 cluster composes fine.
 	cfg.OSCores = OSCores{Enabled: true, K: 1}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Parallel with collapsing OSCores rejected: %v", err)
 	}
 }
 
-// The load-bearing compatibility property: an enabled K=1 synchronous
-// block IS the legacy single-OS-core configuration — same canonical key,
-// same result bytes.
+// An enabled K=1 synchronous block canonicalizes to the disabled block:
+// same canonical key (so the offsimd cache shares one entry) and same
+// result bytes. Both run the K=1 cluster — there is no second off-load
+// path to diverge — so this pins canonicalization, not the engine.
 func TestOSCoresK1Equivalence(t *testing.T) {
 	legacy := oscoresCfg(policy.HardwarePredictor, OSCores{})
 	k1 := oscoresCfg(policy.HardwarePredictor, OSCores{Enabled: true, K: 1})
