@@ -154,6 +154,34 @@ func TestTraceJobEndToEnd(t *testing.T) {
 	}
 }
 
+// A traced baseline job that also names os_cores must run: baseline
+// builds no OS core, so the block is inert, and a panic in the job
+// would take the whole daemon down.
+func TestTraceBaselineOSCoresJob(t *testing.T) {
+	srv := New(Options{QueueSize: 4, Workers: 1})
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	spec := traceSpec(9)
+	spec.Policy = "baseline"
+	spec.OSCores = 2
+	body, _ := json.Marshal(spec)
+	code, st, apiErr := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%s), want 202", code, apiErr.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if fin, err := srv.Wait(ctx, st.ID); err != nil || fin.State != StateDone {
+		t.Fatalf("job did not finish: %v / %+v", err, fin)
+	}
+	if code, raw, _ := getTrace(t, ts, st.ID, "?format=jsonl"); code != http.StatusOK {
+		t.Fatalf("GET trace: HTTP %d: %s", code, raw)
+	}
+}
+
 // TestTraceBypassesCacheAndCoalescing pins the trace-job scheduling
 // contract with stubbed engines: a trace job simulates even on a warm
 // cache, never coalesces onto an identical in-flight job, and still
